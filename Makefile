@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-maint-stress bench bench-micro bench-insert bench-insert-smoke bench-fault bench-fault-smoke bench-query bench-query-smoke bench-quant bench-quant-smoke bench-maint bench-maint-smoke bench-reshard bench-reshard-smoke bench-cache bench-cache-smoke paper examples clean
+.PHONY: install test test-maint-stress bench bench-micro bench-insert bench-insert-smoke bench-fault bench-fault-smoke bench-query bench-query-smoke bench-quant bench-quant-smoke bench-maint bench-maint-smoke bench-reshard bench-reshard-smoke bench-cache bench-cache-smoke bench-e2e bench-e2e-smoke paper examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -77,6 +77,20 @@ bench-cache:
 
 bench-cache-smoke:
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/test_query_cache.py -q
+
+# End-to-end + per-layer benchmark of the live cluster (perfbench/README.md):
+# the three workloads BENCHMARK.json declares.  A failed correctness check
+# exits non-zero and stops the loop.
+E2E_WORKLOADS = ingest-hnsw query-flat mixed-zipf
+E2E_SECONDS = 30
+
+bench-e2e:
+	for w in $(E2E_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds $(E2E_SECONDS) --trace 0 || exit 1; \
+	done
+
+bench-e2e-smoke:
+	$(MAKE) bench-e2e E2E_SECONDS=3
 
 # Concurrent maintenance stress: writers + searchers + vacuum/merge swaps,
 # with a full no-lost-points invariant sweep at the end.

@@ -53,6 +53,7 @@ from .errors import (
     TransportError,
     WorkerUnavailableError,
 )
+from . import blas
 from .cache import CachePolicy, ResultCache
 from .failover import BreakerState, FailoverStats, HealthTracker, RetryPolicy
 from .router import PlacementPlan, ShardMove, ShardRouter
@@ -275,6 +276,10 @@ class Cluster:
             self.health.stats = self.failover_stats
         self._executor: ThreadPoolExecutor | None = None
         self._executor_width = 0
+        # Pools replaced by a wider one.  A caller that fetched one before
+        # the swap may still submit to it, so they stay open until close().
+        self._retired_executors: list[ThreadPoolExecutor] = []
+        self._executor_lock = threading.Lock()
         # Separate pool used only to bound call wall time when the retry
         # policy sets ``timeout_s`` (an abandoned call keeps its thread
         # until the transport returns, as with a real socket timeout).
@@ -309,15 +314,24 @@ class Cluster:
         return max(1, min(limit, n_calls))
 
     def _fanout_pool(self, width: int) -> ThreadPoolExecutor:
-        """Persistent broadcast pool, grown on demand."""
-        if self._executor is None or self._executor_width < width:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-            self._executor = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="fanout"
-            )
-            self._executor_width = width
-        return self._executor
+        """Persistent broadcast pool, grown on demand.
+
+        Each pool thread caps BLAS to cores ÷ width (never above an earlier
+        cap; :mod:`repro.core.blas`): the pool already splits the cores, so
+        a full BLAS team per thread would oversubscribe them.
+        """
+        with self._executor_lock:
+            if self._executor is None or self._executor_width < width:
+                if self._executor is not None:
+                    self._retired_executors.append(self._executor)
+                self._executor = ThreadPoolExecutor(
+                    max_workers=width,
+                    thread_name_prefix="fanout",
+                    initializer=blas.limit_threads,
+                    initargs=(width,),
+                )
+                self._executor_width = width
+            return self._executor
 
     # -- failure-aware transport calls ---------------------------------------
 
@@ -798,20 +812,23 @@ class Cluster:
             for driver in list(getattr(worker, "_maintenance", {}).values()):
                 driver.stop()
             getattr(worker, "_maintenance", {}).clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        with self._executor_lock:
+            pools = self._retired_executors + [self._executor]
             self._executor = None
             self._executor_width = 0
+            self._retired_executors = []
+        for pool in pools:
+            if pool is not None:
+                pool.shutdown(wait=True)
         if self._timeout_pool is not None:
             self._timeout_pool.shutdown(wait=False)
             self._timeout_pool = None
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-            if self._timeout_pool is not None:
-                self._timeout_pool.shutdown(wait=False)
+            for pool in self._retired_executors + [self._executor, self._timeout_pool]:
+                if pool is not None:
+                    pool.shutdown(wait=False)
         except Exception:
             pass
 
@@ -1796,6 +1813,9 @@ class Cluster:
 
         Per-shard builds are independent, so they are fanned out on the
         broadcast pool (Figure 3's per-worker indexing parallelism).
+        The builds are GIL-bound and mostly take turns, so they run with
+        BLAS uncapped (:func:`blas.uncapped`): the pool's per-thread cap
+        would leave the other cores idle during each build's GEMMs.
         Returns ``worker -> [vectors indexed per shard]`` so callers (and
         the perf model) can see the per-worker build sizes.
         """
@@ -1812,7 +1832,8 @@ class Cluster:
             {"collection": name, "kind": kind, "calls": len(calls)}
             if tracer.enabled else None,
         ):
-            reports = self._fan_out(calls)
+            with blas.uncapped():
+                reports = self._fan_out(calls)
         built: dict[str, list[int]] = {}
         for call, report in zip(calls, reports):
             built.setdefault(call[0], []).extend(n for _, n in report.index_builds)

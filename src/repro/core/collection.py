@@ -236,8 +236,14 @@ class Collection:
         swap (inline or fenced copy-on-write), and the reshard cutover that
         retires the shard.  A search result computed at generation ``g`` is
         valid exactly as long as ``generation == g`` still holds.
+
+        Writers mutate first and bump last, under ``_write_lock``, and
+        searches take no lock.  Reading under the lock waits out a write in
+        flight, so two equal reads bracket a span in which no write landed
+        even partly.
         """
-        return self._generation
+        with self._write_lock:
+            return self._generation
 
     # -- write path ------------------------------------------------------------------
 

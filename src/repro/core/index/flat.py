@@ -18,11 +18,54 @@ from ..storage import VectorArena
 from ..types import Distance
 from .base import IndexStats, OffsetPredicate
 
-__all__ = ["FlatIndex"]
+__all__ = ["FlatIndex", "scan"]
+
+
+def scan(
+    arena: VectorArena,
+    offsets: np.ndarray,
+    queries: np.ndarray,
+    k: int,
+    distance: Distance,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact top-``k`` ``(offsets, scores)`` of each query over ``offsets``.
+
+    The one flat-scan body behind segment scans and :class:`FlatIndex`.
+    ``offsets`` must be strictly ascending.  When they are exactly
+    ``0..n-1`` (no tombstone or filter removed a row) the kernel scores
+    ``arena.view()`` in place; otherwise the rows are gathered once for the
+    whole batch.  A masked scan of the full view is not used: BLAS rounds a
+    row's dot product differently depending on its position in the matrix,
+    so only scoring the same rows in the same order keeps results
+    bit-identical.  Each query runs the single-query GEMV kernel (a batch
+    GEMM rounds differently too), so element ``i`` equals a one-query scan.
+
+    The in-place path takes no snapshot and searches hold no lock: an
+    ``arena.overwrite`` landing mid-batch can be seen by some queries of
+    the batch and not others, and a row being written can be read
+    half-updated.  The gather path narrows that window to the copy.
+    """
+    if offsets.size == 0:
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
+        return [empty] * len(queries)
+    if offsets[-1] == offsets.size - 1:
+        matrix = arena.view()[: offsets.size]
+    else:
+        matrix = arena.take(offsets)
+    out = []
+    for query in queries:
+        scores = distances.score_batch(matrix, query, distance)
+        idx, top = distances.top_k(scores, k, distance)
+        out.append((offsets[idx], top))
+    return out
 
 
 class FlatIndex:
-    """Exact scan over a subset of arena offsets."""
+    """Exact scan over a subset of arena offsets.
+
+    Members are scanned in ascending offset order, so score ties resolve to
+    the lower offset, as in a segment scan.
+    """
 
     def __init__(self, arena: VectorArena, distance: Distance):
         self._arena = arena
@@ -56,7 +99,7 @@ class FlatIndex:
 
     def _member_offsets(self) -> np.ndarray:
         if self._offsets_arr is None:
-            self._offsets_arr = np.asarray(self._offsets, dtype=np.int64)
+            self._offsets_arr = np.unique(np.asarray(self._offsets, dtype=np.int64))
         return self._offsets_arr
 
     def search(
@@ -67,19 +110,7 @@ class FlatIndex:
         predicate: OffsetPredicate | None = None,
         **params,
     ) -> tuple[np.ndarray, np.ndarray]:
-        offsets = self._member_offsets()
-        if predicate is not None:
-            keep = np.fromiter(
-                (predicate(int(o)) for o in offsets), count=len(offsets), dtype=bool
-            )
-            offsets = offsets[keep]
-        if offsets.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        matrix = self._arena.take(offsets)
-        scores = distances.score_batch(matrix, query, self.distance)
-        self.stats.distance_computations += int(offsets.size)
-        idx, top_scores = distances.top_k(scores, k, self.distance)
-        return offsets[idx], top_scores
+        return self._scan(np.asarray(query)[None, :], k, predicate)[0]
 
     def search_batch(
         self,
@@ -89,28 +120,16 @@ class FlatIndex:
         predicate: OffsetPredicate | None = None,
         **params,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Batched exact search: one predicate pass + gather for the batch.
+        """Batched exact search: one predicate pass + gather for the batch;
+        element ``i`` is bit-identical to ``search(queries[i], k)``."""
+        return self._scan(queries, k, predicate)
 
-        Scores each query with the same GEMV kernel :meth:`search` uses (a
-        batch GEMM rounds differently in the last bit), so element ``i``
-        is bit-identical to ``search(queries[i], k)`` — the member scan,
-        predicate evaluation and arena gather are still amortized across
-        the batch, which is where the filtered-scan time goes.
-        """
+    def _scan(self, queries, k, predicate) -> list[tuple[np.ndarray, np.ndarray]]:
         offsets = self._member_offsets()
         if predicate is not None:
             keep = np.fromiter(
                 (predicate(int(o)) for o in offsets), count=len(offsets), dtype=bool
             )
             offsets = offsets[keep]
-        if offsets.size == 0:
-            empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
-            return [empty for _ in range(len(queries))]
-        matrix = self._arena.take(offsets)
         self.stats.distance_computations += int(offsets.size) * len(queries)
-        out = []
-        for query in queries:
-            scores = distances.score_batch(matrix, query, self.distance)
-            idx, top_scores = distances.top_k(scores, k, self.distance)
-            out.append((offsets[idx], top_scores))
-        return out
+        return scan(self._arena, offsets, queries, k, self.distance)

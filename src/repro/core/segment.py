@@ -27,6 +27,7 @@ from .errors import DimensionMismatchError, PointNotFoundError, SegmentSealedErr
 from .filters import Condition
 from .index import FlatIndex, make_index
 from .index.base import OffsetPredicate
+from .index.flat import scan
 from .payload import PayloadStore
 from .quantization import CodeStore, ScalarQuantizer
 from .storage import IdTracker, VectorArena
@@ -424,18 +425,16 @@ class Segment:
         live = self._ids.live_offsets()
         if flt is None or live.size == 0:
             return live
-        ids, payloads = self._ids, self._payloads
+        payloads = self._payloads
+        pids = self._ids.ids_at(live).tolist()
         candidates = payloads.prefilter_candidates(flt)
         if candidates is not None:
             keep = [
-                o
-                for o in live
-                if (pid := ids.id_at(int(o))) in candidates
-                and payloads.evaluate(flt, pid)
+                pid in candidates and payloads.evaluate(flt, pid) for pid in pids
             ]
         else:
-            keep = [o for o in live if payloads.evaluate(flt, ids.id_at(int(o)))]
-        return np.asarray(keep, dtype=np.int64)
+            keep = [payloads.evaluate(flt, pid) for pid in pids]
+        return live[np.asarray(keep, dtype=bool)]
 
     def _gather_codes(
         self, live: np.ndarray
@@ -545,7 +544,8 @@ class Segment:
                 query, k, live, rescore=quantization_rescore
             )
         else:
-            offsets, scores = self._flat_scan(query, k, self._offset_predicate(flt))
+            live = self._live_offsets_filtered(flt)
+            offsets, scores = scan(self._arena, live, query[None, :], k, self._distance)[0]
         return self._postprocess(
             offsets,
             scores,
@@ -596,19 +596,6 @@ class Segment:
             "quantized": True,
             "rescore": qc.rescore if rescore is None else rescore,
         }
-
-    def _flat_scan(self, query, k, predicate) -> tuple[np.ndarray, np.ndarray]:
-        live = self._ids.live_offsets()
-        if predicate is not None:
-            live = np.asarray(
-                [o for o in live if predicate(int(o))], dtype=np.int64
-            )
-        if live.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        matrix = self._arena.take(live)
-        scores = distances.score_batch(matrix, query, self._distance)
-        idx, top = distances.top_k(scores, k, self._distance)
-        return live[idx], top
 
     def search_batch(
         self,
@@ -676,30 +663,22 @@ class Segment:
                 score_threshold=score_threshold,
             )
 
-        # Flat scan: the live-offset list, filter evaluation and arena gather
-        # are computed once instead of once per query; scoring stays on the
-        # single-query GEMV kernel so results are bit-identical to
-        # ``search`` (a whole-batch GEMM rounds differently in the last bit).
+        # Flat scan: offsets and filter are resolved once for the batch;
+        # scoring stays per query on the single-query kernel (see ``scan``).
         if self._distance is Distance.COSINE and len(queries):
             queries = np.stack([distances.normalize(q) for q in queries])
-        live = self._live_offsets_filtered(flt)
-        if live.size == 0:
-            return [[] for _ in range(len(queries))]
-        matrix = self._arena.take(live)
-        out = []
-        for query in queries:
-            scores = distances.score_batch(matrix, query, self._distance)
-            idx, top = distances.top_k(scores, k, self._distance)
-            out.append(
-                self._postprocess(
-                    live[idx],
-                    top,
-                    score_threshold=score_threshold,
-                    with_payload=with_payload,
-                    with_vector=with_vector,
-                )
+        return [
+            self._postprocess(
+                offsets,
+                scores,
+                score_threshold=score_threshold,
+                with_payload=with_payload,
+                with_vector=with_vector,
             )
-        return out
+            for offsets, scores in scan(
+                self._arena, self._live_offsets_filtered(flt), queries, k, self._distance
+            )
+        ]
 
     def _quantized_scan_batch(
         self,

@@ -160,15 +160,28 @@ class VectorArena:
 class IdTracker:
     """Bidirectional mapping between external point ids and arena offsets.
 
-    Also owns the deletion bitmap.  A point id maps to exactly one live
-    offset; re-upserting an existing id overwrites in place.
+    Also owns the deletion bitmap, a growable numpy ``bool`` array.  A point
+    id maps to exactly one live offset; re-upserting an existing id
+    overwrites in place.
+
+    ``live_offsets()`` and the ``ids_at`` lookup table are cached and
+    rebuilt only after a ``register``/``mark_deleted``, so read paths that
+    ask once per query pay for them once per write instead.  Cached arrays
+    are read-only and never mutated, so a caller may keep one (a pinned
+    migration snapshot does) while writes continue.  Writers change state
+    first and bump ``_version`` last; a lock-free reader that raced a write
+    caches its result under the version it started from, which the bump
+    has already made stale.
     """
 
     def __init__(self):
         self._id_to_offset: dict[PointId, int] = {}
         self._offset_to_id: list[PointId] = []
-        self._deleted: list[bool] = []
+        self._deleted = np.zeros(_INITIAL_CAPACITY, dtype=bool)
         self._deleted_count = 0
+        self._version = 0
+        self._live_cache: tuple[int, np.ndarray] | None = None
+        self._lut_cache: tuple[int, np.ndarray] | None = None
 
     def __len__(self) -> int:
         """Number of live (non-deleted) points."""
@@ -197,15 +210,22 @@ class IdTracker:
 
     def register(self, point_id: PointId, offset: int) -> None:
         """Bind a new offset to ``point_id`` (offset must be fresh)."""
-        if offset != len(self._offset_to_id):
-            raise ValueError("offsets must be registered in append order")
-        self._id_to_offset[point_id] = offset
-        self._offset_to_id.append(point_id)
-        self._deleted.append(False)
+        self.register_batch([point_id], [offset])
 
     def register_batch(self, point_ids, offsets) -> None:
-        for pid, off in zip(point_ids, offsets):
-            self.register(pid, int(off))
+        """Bind fresh offsets, which must continue the append order."""
+        point_ids = list(point_ids)
+        start = len(self._offset_to_id)
+        fresh = range(start, start + len(point_ids))
+        if [int(o) for o in offsets] != list(fresh):
+            raise ValueError("offsets must be registered in append order")
+        if fresh.stop > self._deleted.shape[0]:
+            grown = np.zeros(max(fresh.stop, int(start * _GROWTH) + 1), dtype=bool)
+            grown[:start] = self._deleted[:start]
+            self._deleted = grown
+        self._id_to_offset.update(zip(point_ids, fresh))
+        self._offset_to_id.extend(point_ids)
+        self._version += 1
 
     def mark_deleted(self, point_id: PointId) -> int:
         """Tombstone a point; returns the freed offset."""
@@ -213,26 +233,40 @@ class IdTracker:
         del self._id_to_offset[point_id]
         self._deleted[offset] = True
         self._deleted_count += 1
+        self._version += 1
         return offset
 
     def is_deleted(self, offset: int) -> bool:
-        return self._deleted[offset]
+        return bool(self._deleted[offset])
 
     def deleted_mask(self) -> np.ndarray:
-        """Boolean mask over offsets, True where tombstoned."""
-        return np.asarray(self._deleted, dtype=bool)
+        """Boolean mask over offsets, True where tombstoned (a view)."""
+        return self._deleted[: len(self._offset_to_id)]
 
     def live_offsets(self) -> np.ndarray:
-        """Offsets of live points, ascending."""
-        if not self._offset_to_id:
-            return np.empty(0, dtype=np.int64)
-        mask = ~self.deleted_mask()
-        return np.nonzero(mask)[0].astype(np.int64)
+        """Offsets of live points, ascending (cached, read-only)."""
+        version, cached = self._live_cache or (-1, None)
+        if version == self._version:
+            return cached
+        version = self._version
+        n = len(self._offset_to_id)
+        if self._deleted_count == 0:
+            live = np.arange(n, dtype=np.int64)
+        else:
+            live = np.flatnonzero(~self._deleted[:n]).astype(np.int64, copy=False)
+        live.flags.writeable = False
+        self._live_cache = (version, live)
+        return live
 
     def live_ids(self) -> list[PointId]:
-        return [self._offset_to_id[o] for o in self.live_offsets()]
+        ids = self._offset_to_id
+        return [ids[o] for o in self.live_offsets().tolist()]
 
     def ids_at(self, offsets: np.ndarray) -> np.ndarray:
-        """Vectorised offset→id lookup."""
-        lut = np.asarray(self._offset_to_id, dtype=np.int64)
+        """Vectorised offset→id lookup (the lookup table is cached)."""
+        version, lut = self._lut_cache or (-1, None)
+        if version != self._version:
+            version = self._version
+            lut = np.asarray(self._offset_to_id, dtype=np.int64)
+            self._lut_cache = (version, lut)
         return lut[np.asarray(offsets, dtype=np.int64)]

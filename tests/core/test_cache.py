@@ -4,6 +4,8 @@ exact ``ScoredPoint`` byte accounting, and the cluster-level integration
 (hits bit-identical, writes invalidate, shard tier skips untouched shards,
 degraded results never cached, telemetry/metrics surfaces)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.core import (
     VectorParams,
 )
 from repro.core.cluster import Cluster
+from repro.core.collection import Collection
 from repro.core.scheduler import CoalescePolicy, QueryCoalescer
 from repro.core.transport import (
     FaultInjectingTransport,
@@ -269,6 +272,37 @@ class TestShardResultCacheUnit:
         assert cache.entry_count == 2
         assert cache.lookup("c", 0, "a", 0) is None
         assert cache.stats.snapshot()["evictions"] == 1
+
+
+class TestGenerationFence:
+    def test_generation_read_waits_out_a_write_in_flight(self):
+        """A write is visible to lock-free searches before it bumps the
+        generation; a generation read in that gap must wait for the bump,
+        or a cache fill could name a half-applied write's state."""
+        col = Collection(config(shard_number=1))
+        col.upsert(points(10))
+        applied, release = threading.Event(), threading.Event()
+        finish = col._maybe_optimize
+
+        def held_after_apply():  # runs after the mutation, before the bump
+            applied.set()
+            release.wait(5)
+            finish()
+
+        col._maybe_optimize = held_after_apply
+        before = col.generation
+        writer = threading.Thread(target=col.upsert, args=(points(1, start=10),))
+        writer.start()
+        assert applied.wait(5)
+        seen = []
+        reader = threading.Thread(target=lambda: seen.append(col.generation))
+        reader.start()
+        reader.join(0.2)
+        assert reader.is_alive(), "generation read during a write in flight"
+        release.set()
+        writer.join(5)
+        reader.join(5)
+        assert seen == [before + 1]
 
 
 class TestExactScoredPointBytes:

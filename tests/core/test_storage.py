@@ -1,5 +1,8 @@
 """VectorArena and IdTracker tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -151,3 +154,62 @@ class TestIdTracker:
 
     def test_empty_live_offsets(self):
         assert IdTracker().live_offsets().tolist() == []
+
+    def test_bitmap_grows_past_initial_capacity(self):
+        t = IdTracker()
+        for i in range(1000):
+            t.register(i, i)
+        t.mark_deleted(999)
+        t.mark_deleted(64)
+        assert t.is_deleted(999) and t.is_deleted(64) and not t.is_deleted(65)
+        assert t.live_offsets().tolist() == [o for o in range(1000) if o not in (64, 999)]
+
+    def test_caches_invalidate_on_register_and_delete(self):
+        t = IdTracker()
+        for i in range(4):
+            t.register(i + 10, i)
+        first = t.live_offsets()
+        assert t.live_offsets() is first  # cached between writes
+        assert not first.flags.writeable
+        assert t.ids_at(np.array([3])).tolist() == [13]
+        t.register(14, 4)
+        assert t.live_offsets().tolist() == [0, 1, 2, 3, 4]
+        assert t.ids_at(np.array([4])).tolist() == [14]
+        t.mark_deleted(11)
+        assert t.live_offsets().tolist() == [0, 2, 3, 4]
+        assert first.tolist() == [0, 1, 2, 3]  # a kept (pinned) array never changes
+
+
+def test_tracker_caches_never_go_stale_under_concurrent_readers():
+    """One writer registers and deletes while readers hammer the caches;
+    every read is a consistent snapshot and none outlives a write."""
+    t = IdTracker()
+    stop = threading.Event()
+    errors = []
+
+    def read():
+        while not stop.is_set():
+            live = t.live_offsets()
+            if live.size and (np.any(np.diff(live) <= 0) or live[-1] >= t.total_offsets):
+                errors.append(live.copy())
+            t.ids_at(live[:1])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    try:
+        for r in readers:
+            r.start()
+        for i in range(3000):
+            t.register(i, i)
+            if i % 3 == 0:
+                t.mark_deleted(i)
+    finally:
+        stop.set()
+        for r in readers:
+            r.join(timeout=10)
+        sys.setswitchinterval(old)
+    assert not any(r.is_alive() for r in readers)
+    assert not errors
+    assert t.live_offsets().tolist() == [o for o in range(3000) if o % 3]
+    assert t.ids_at(np.arange(3000)).tolist() == list(range(3000))
